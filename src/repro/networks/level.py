@@ -93,10 +93,10 @@ class Level:
                 return g
         return None
 
-    # -- vectorised index arrays (cached; used by network evaluation) -------
+    # -- vectorised index arrays (cached; used by evaluation and the judge) --
     @cached_property
-    def _op_arrays(self) -> dict[Op, tuple[np.ndarray, np.ndarray]]:
-        """Per-op endpoint index arrays for vectorised evaluation."""
+    def op_arrays(self) -> dict[Op, tuple[np.ndarray, np.ndarray]]:
+        """Per-op ``(a, b)`` endpoint index arrays for vectorised evaluation."""
         buckets: dict[Op, tuple[list[int], list[int]]] = {}
         for g in self._gates:
             a_list, b_list = buckets.setdefault(g.op, ([], []))
@@ -113,7 +113,7 @@ class Level:
         ``values`` is a 1-D vector of length ``n`` or a 2-D ``(batch, n)``
         array; rows are processed independently.
         """
-        arrays = self._op_arrays
+        arrays = self.op_arrays
         batched = values.ndim == 2
 
         def cols(idx: np.ndarray) -> np.ndarray:

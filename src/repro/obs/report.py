@@ -180,6 +180,13 @@ def slowest_spans(
     ]
 
 
+def _numeric_key(item: "tuple[str, int]") -> "tuple[bool, int, str]":
+    """Sort histogram keys as integers, non-numeric keys (``"?"``) last."""
+    key = item[0]
+    numeric = key.lstrip("-").isdigit()
+    return (not numeric, int(key) if numeric else 0, key)
+
+
 def adversary_summary(records: "list[dict[str, Any]]") -> dict[str, Any]:
     """Fold the adversary-domain events into compact tables.
 
@@ -221,11 +228,9 @@ def adversary_summary(records: "list[dict[str, Any]]") -> dict[str, Any]:
             "collisions": collisions,
             "demoted": demoted,
             "collision_set_histogram": dict(
-                sorted(histogram.items(), key=lambda kv: int(kv[0]))
+                sorted(histogram.items(), key=_numeric_key)
             ),
-            "chosen_shifts": dict(
-                sorted(shifts.items(), key=lambda kv: kv[0])
-            ),
+            "chosen_shifts": dict(sorted(shifts.items(), key=_numeric_key)),
         },
         "renamings": renamings,
         "lemma41_runs": summaries,

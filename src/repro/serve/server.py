@@ -278,6 +278,8 @@ class CertificateServer:
                     raise ServeError(
                         f"bad content-length {value.strip()!r}"
                     ) from exc
+        if length < 0:
+            raise ServeError(f"negative content-length {length}")
         if length > _MAX_BODY:
             raise ServeError(f"request body of {length} bytes exceeds "
                              f"the {_MAX_BODY}-byte limit")

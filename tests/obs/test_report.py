@@ -134,6 +134,18 @@ class TestAdversarySummary:
         assert doc["nodes"]["collision_set_histogram"] == {"4": 1}
         assert doc["renamings"] == 1
 
+    def test_chosen_shifts_sort_numerically_unknown_last(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        for shift in (10, None, 2, 10):
+            attrs = {} if shift is None else {"shift": shift}
+            tracer.event("lemma41.node", collisions=0, histogram={}, **attrs)
+        doc = adversary_summary(sink.records)
+        shifts = doc["nodes"]["chosen_shifts"]
+        assert list(shifts.items()) == [("2", 1), ("10", 2), ("?", 1)]
+        out = render_stats(sink.records)
+        assert out.index("i0=2:") < out.index("i0=10:") < out.index("i0=?:")
+
 
 class TestTimingAggregates:
     def test_empty(self):

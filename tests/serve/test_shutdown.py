@@ -20,8 +20,9 @@ from repro.serve import ServeClient, ServeHTTPError
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: Slow enough (~1s of 0-1 sweeping) that SIGTERM lands mid-request.
-SLOW_PARAMS = {"sorter": "oddeven_transposition", "n": 18}
+#: Slow enough (~1s of bit-sliced 0-1 sweeping over 2^26 inputs) that
+#: SIGTERM lands mid-request.
+SLOW_PARAMS = {"sorter": "oddeven_transposition", "n": 26, "max_wires": 26}
 
 
 def launch_daemon(store_path):

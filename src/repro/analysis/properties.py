@@ -19,6 +19,7 @@ exactly how :func:`is_butterfly_topology` decides it.
 
 from __future__ import annotations
 
+from typing import Sequence
 
 from .._util import ilog2, is_power_of_two
 from ..errors import TopologyError
@@ -97,9 +98,11 @@ def _balanced_orientations(
     yield from dfs(len(groups) - 1, target, [])
 
 
-def reconstruct_reverse_delta(
-    network: ComparatorNetwork, max_attempts: int = 4096
-) -> ReverseDeltaNetwork:
+#: Total split trials one recognition may make before giving up.
+MAX_ATTEMPTS = 4096
+
+
+def reconstruct_reverse_delta(network: ComparatorNetwork) -> ReverseDeltaNetwork:
     """Reconstruct the Definition 3.4 tree of a pure-circuit network.
 
     Requires ``n = 2^l`` wires, exactly ``l`` stages, and no stage
@@ -108,11 +111,17 @@ def reconstruct_reverse_delta(
 
     Sparse networks can admit many balanced bipartitions per level, only
     some of which work recursively; the search backtracks across them,
-    bounded by ``max_attempts`` total split trials (dense networks such
-    as the butterfly have essentially unique splits and never backtrack).
+    bounded by :data:`MAX_ATTEMPTS` total split trials (dense networks
+    such as the butterfly have essentially unique splits and never
+    backtrack).
+
+    Each subtree sees only the gates inside its own wires.  A side of a
+    split is a union of the components the lower levels connect, so no
+    lower-level gate can cross it: the gates of each level partition
+    exactly between the two children.
     """
     n = network.n
-    budget = [max_attempts]
+    budget = [MAX_ATTEMPTS]
     if not network.is_pure_circuit():
         raise TopologyError("topology recognition requires a pure circuit network")
     if not is_power_of_two(n):
@@ -123,36 +132,19 @@ def reconstruct_reverse_delta(
             f"an l-level reverse delta network has exactly lg n = {log_n} levels, "
             f"got {network.depth}"
         )
-    levels: list[tuple[Gate, ...]] = [s.level.gates for s in network.stages]
 
-    def rec(wires: frozenset[int], j: int) -> ReverseDeltaNetwork:
+    def rec(
+        wires: frozenset[int], levels: Sequence[Sequence[Gate]]
+    ) -> ReverseDeltaNetwork:
+        j = len(levels)
         if j == 0:
             (w,) = wires
             return ReverseDeltaNetwork.leaf(w)
-        inner_edges: list[tuple[int, int]] = []
-        for lvl in range(j - 1):
-            for g in levels[lvl]:
-                ina, inb = g.a in wires, g.b in wires
-                if ina != inb:
-                    raise TopologyError(
-                        f"gate {g} at level {lvl} crosses a required subnetwork "
-                        "boundary",
-                        level=lvl,
-                        gate=g,
-                    )
-                if ina:
-                    inner_edges.append((g.a, g.b))
-        final = [g for g in levels[j - 1] if g.a in wires or g.b in wires]
-        for g in final:
-            if not (g.a in wires and g.b in wires):
-                raise TopologyError(
-                    f"final-level gate {g} crosses the subnetwork boundary",
-                    level=j - 1,
-                    gate=g,
-                )
+        lower, final = levels[:-1], levels[-1]
         uf = _UnionFind(wires)
-        for a, b in inner_edges:
-            uf.union(a, b)
+        for level in lower:
+            for g in level:
+                uf.union(g.a, g.b)
         comp_of = {w: uf.find(w) for w in wires}
         comps = sorted(set(comp_of.values()))
         comp_index = {c: i for i, c in enumerate(comps)}
@@ -206,8 +198,8 @@ def reconstruct_reverse_delta(
             tried += 1
             if budget[0] <= 0:
                 raise TopologyError(
-                    "topology recognition exceeded its backtracking budget; "
-                    "increase max_attempts"
+                    "topology recognition exceeded its backtracking budget "
+                    f"of {MAX_ATTEMPTS} split trials"
                 )
             budget[0] -= 1
             side_of_comp = [0] * len(comps)
@@ -219,8 +211,8 @@ def reconstruct_reverse_delta(
             )
             w1 = wires - w0
             try:
-                child0 = rec(w0, j - 1)
-                child1 = rec(w1, j - 1)
+                child0 = rec(w0, [[g for g in lv if g.a in w0] for lv in lower])
+                child1 = rec(w1, [[g for g in lv if g.a in w1] for lv in lower])
             except TopologyError as exc:
                 last_error = exc
                 continue
@@ -233,7 +225,9 @@ def reconstruct_reverse_delta(
         assert last_error is not None
         raise last_error
 
-    return rec(frozenset(range(n)), log_n)
+    return rec(
+        frozenset(range(n)), [s.level.gates for s in network.stages]
+    )
 
 
 def is_reverse_delta_topology(network: ComparatorNetwork) -> bool:

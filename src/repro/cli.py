@@ -634,9 +634,37 @@ def _finish_analyzer(args, report, default_name: str) -> int:
     return report.exit_code
 
 
+def _tree_families() -> dict:
+    """Each whole-program family's ``analyze_paths``, in merge order.
+
+    The family ``<name>`` reads ``<name>-baseline.json`` by default.
+    Built per call, so the entry point that runs is the package's
+    current one.
+    """
+    from . import flow, perf, race, shape
+
+    return {
+        "flow": flow.analyze_paths,
+        "perf": perf.analyze_paths,
+        "race": race.analyze_paths,
+        "shape": shape.analyze_paths,
+    }
+
+
+def _family_config(name: str, args):
+    """The config one family runs under (perf also takes ``--profile``)."""
+    from .perf import PerfConfig
+    from .sanitize import AnalyzerConfig
+
+    if name == "perf":
+        return PerfConfig(_selected(args), getattr(args, "profile_data", None))
+    return AnalyzerConfig(_selected(args))
+
+
 def cmd_sanitize(args) -> int:
     from .sanitize import (
         SanitizeConfig,
+        SourceTree,
         collect_schemas,
         discover_files,
         load_registry,
@@ -661,155 +689,69 @@ def cmd_sanitize(args) -> int:
             if refusals:
                 return 1
         baseline = _analyzer_baseline(args, "sanitize-baseline.json")
-        report = sanitize_paths(args.paths, config, baseline=baseline)
-        for merge in _sanitize_merges(args):
-            merged = merge(args.paths, _selected(args), baseline)
+        # one parse and one program, shared by every family below
+        tree = SourceTree(args.paths)
+        report = sanitize_paths(tree, config, baseline=baseline)
+        for name, analyze in _tree_families().items():
+            if not getattr(args, name):
+                continue
+            # an explicit --baseline applies to every family; otherwise
+            # each falls back to its own default, as standalone
+            family_baseline = baseline
+            if args.baseline is None:
+                family_baseline = _analyzer_baseline(
+                    args, f"{name}-baseline.json"
+                )
+            merged = analyze(
+                tree, _family_config(name, args), baseline=family_baseline
+            )
             report.diagnostics.extend(
                 d for d in merged.diagnostics
                 # the per-file pass already reported unparseable files
                 if d.rule != "parse/syntax-error"
             )
-            report.diagnostics.sort(key=lambda d: d.sort_key)
             report.suppressed += merged.suppressed
+        report.diagnostics.sort(key=lambda d: d.sort_key)
     except SanitizeError as exc:
         logger.error("error[sanitize/usage]: %s", exc)
         return 2
     return _finish_analyzer(args, report, "sanitize-baseline.json")
 
 
-def _sanitize_merges(args):
-    """The whole-program analyses ``sanitize --flow/--perf`` fold in.
+def _graph(name: str, tree, config) -> tuple[dict, str]:
+    """A family's ``--graph`` document and its one-line description."""
+    if name == "flow":
+        from .flow import graph_json
 
-    With an explicit ``--baseline`` the one ratchet file applies to
-    everything; otherwise each merged family falls back to its own
-    default baseline (``flow-baseline.json``/``perf-baseline.json``),
-    exactly as its standalone subcommand would.
-    """
-    merges = []
-    if args.flow:
+        doc = graph_json(tree.program)
+        return doc, (
+            f"call graph with {len(doc['nodes'])} nodes, "
+            f"{len(doc['edges'])} edges"
+        )
+    from . import race, shape
 
-        def run_flow(paths, select, baseline):
-            from .flow import FlowConfig, analyze_paths
-
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "flow-baseline.json")
-            return analyze_paths(
-                paths, FlowConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_flow)
-    if args.perf:
-
-        def run_perf(paths, select, baseline):
-            from .perf import PerfConfig, analyze_paths
-
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "perf-baseline.json")
-            return analyze_paths(
-                paths, PerfConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_perf)
-    if args.race:
-
-        def run_race(paths, select, baseline):
-            from .race import RaceConfig, analyze_paths
-
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "race-baseline.json")
-            return analyze_paths(
-                paths, RaceConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_race)
-    if args.shape:
-
-        def run_shape(paths, select, baseline):
-            from .shape import ShapeConfig, analyze_paths
-
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "shape-baseline.json")
-            return analyze_paths(
-                paths, ShapeConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_shape)
-    return merges
+    family = race if name == "race" else shape
+    doc = family.model_json(family.build_analysis(tree, config)[0])
+    if name == "race":
+        return doc, (
+            f"concurrency model with {len(doc['functions'])} functions, "
+            f"{len(doc['handles'])} module handles"
+        )
+    return doc, f"dtype/ndim model with {len(doc['functions'])} functions"
 
 
-def cmd_flow(args) -> int:
-    from .flow import FlowConfig, analyze_paths, build_program, graph_json
+def cmd_tree_family(args) -> int:
+    """``repro flow|perf|race|shape``: one whole-program family."""
+    from .perf import worklist_paths
+    from .sanitize import SourceTree
 
-    config = FlowConfig(select=_selected(args))
+    name = args.command
+    config = _family_config(name, args)
+    default_baseline = f"{name}-baseline.json"
     try:
-        if args.graph:
-            doc = graph_json(build_program(args.paths))
-            Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
-            # stderr: stdout must stay a clean report under --json
-            logger.info(
-                "call graph with %d nodes, %d edges written to %s",
-                len(doc["nodes"]), len(doc["edges"]), args.graph,
-            )
-        baseline = _analyzer_baseline(args, "flow-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
-    except SanitizeError as exc:
-        logger.error("error[flow/usage]: %s", exc)
-        return 2
-    return _finish_analyzer(args, report, "flow-baseline.json")
-
-
-def cmd_race(args) -> int:
-    from .race import RaceConfig, analyze_paths, build_analysis, model_json
-
-    config = RaceConfig(select=_selected(args))
-    try:
-        if args.graph:
-            analysis, _, _ = build_analysis(args.paths, config)
-            doc = model_json(analysis)
-            Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
-            # stderr: stdout must stay a clean report under --json
-            logger.info(
-                "concurrency model with %d functions, %d module "
-                "handles written to %s",
-                len(doc["functions"]), len(doc["handles"]), args.graph,
-            )
-        baseline = _analyzer_baseline(args, "race-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
-    except SanitizeError as exc:
-        logger.error("error[race/usage]: %s", exc)
-        return 2
-    return _finish_analyzer(args, report, "race-baseline.json")
-
-
-def cmd_shape(args) -> int:
-    from .shape import ShapeConfig, analyze_paths, build_analysis, model_json
-
-    config = ShapeConfig(select=_selected(args))
-    try:
-        if args.graph:
-            analysis, _, _ = build_analysis(args.paths, config)
-            doc = model_json(analysis)
-            Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
-            # stderr: stdout must stay a clean report under --json
-            logger.info(
-                "dtype/ndim model with %d functions written to %s",
-                len(doc["functions"]), args.graph,
-            )
-        baseline = _analyzer_baseline(args, "shape-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
-    except SanitizeError as exc:
-        logger.error("error[shape/usage]: %s", exc)
-        return 2
-    return _finish_analyzer(args, report, "shape-baseline.json")
-
-
-def cmd_perf(args) -> int:
-    from .perf import PerfConfig, analyze_paths, worklist_paths
-
-    config = PerfConfig(select=_selected(args), profile=args.profile_data)
-    try:
-        if args.worklist:
-            worklist = worklist_paths(args.paths, config)
+        tree = SourceTree(args.paths)
+        if getattr(args, "worklist", False):
+            worklist = worklist_paths(tree, config)
             print(json.dumps(worklist.to_json(), indent=2))
             n = len(worklist.entries)
             print(
@@ -817,12 +759,17 @@ def cmd_perf(args) -> int:
                 file=sys.stderr,
             )
             return 0
-        baseline = _analyzer_baseline(args, "perf-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
+        if getattr(args, "graph", None):
+            doc, what = _graph(name, tree, config)
+            Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
+            # stderr: stdout must stay a clean report under --json
+            logger.info("%s written to %s", what, args.graph)
+        baseline = _analyzer_baseline(args, default_baseline)
+        report = _tree_families()[name](tree, config, baseline=baseline)
     except (SanitizeError, ObsError) as exc:
-        logger.error("error[perf/usage]: %s", exc)
+        logger.error("error[%s/usage]: %s", name, exc)
         return 2
-    return _finish_analyzer(args, report, "perf-baseline.json")
+    return _finish_analyzer(args, report, default_baseline)
 
 
 def _add_tree_analyzer_args(
@@ -1052,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", metavar="PATH", default=None,
                    help="also serialise the call graph (nodes, edges, "
                         "per-function facts) to PATH as JSON")
-    p.set_defaults(func=cmd_flow)
+    p.set_defaults(func=cmd_tree_family)
 
     p = sub.add_parser("perf", help="profile-guided hot-path analysis of "
                                     "the repro source tree itself")
@@ -1074,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the ranked vectorization worklist as JSON "
                         "(ignores pragmas and the baseline: it is the "
                         "inventory of remaining scalar hot paths)")
-    p.set_defaults(func=cmd_perf)
+    p.set_defaults(func=cmd_tree_family)
 
     p = sub.add_parser("race", help="whole-program concurrency analysis "
                                     "of the repro source tree itself")
@@ -1089,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also serialise the concurrency model (contexts, "
                         "blocking/fork/dispatch facts, shared-state "
                         "writes, module handles) to PATH as JSON")
-    p.set_defaults(func=cmd_race)
+    p.set_defaults(func=cmd_tree_family)
 
     p = sub.add_parser("shape", help="array dtype/shape abstract "
                                      "interpretation of the repro source "
@@ -1105,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also serialise the dtype/ndim model (per-function "
                         "return summaries, constructor sites, inferred "
                         "abstract values) to PATH as JSON")
-    p.set_defaults(func=cmd_shape)
+    p.set_defaults(func=cmd_tree_family)
 
     p = sub.add_parser("farm", help="parallel campaign runner with a "
                                     "content-addressed artifact store")

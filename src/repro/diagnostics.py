@@ -317,19 +317,23 @@ class Baseline:
         findings = doc.get("findings")
         if not isinstance(findings, list):
             raise SanitizeError(f"baseline {p}: 'findings' must be a list")
-        entries: set[tuple[str, str, str]] = set()
-        for i, entry in enumerate(findings):
-            if not isinstance(entry, dict) or not all(
-                isinstance(entry.get(k), str) for k in ("rule", "path")
-            ):
-                raise SanitizeError(
-                    f"baseline {p}: finding {i} must be an object with "
-                    "string 'rule' and 'path'"
-                )
-            entries.add(
-                (entry["rule"], entry["path"], entry.get("content", ""))
+        malformed = [
+            i
+            for i, entry in enumerate(findings)
+            if not isinstance(entry, dict)
+            or not all(isinstance(entry.get(k), str) for k in ("rule", "path"))
+        ]
+        if malformed:
+            raise SanitizeError(
+                f"baseline {p}: finding {malformed[0]} must be an object "
+                "with string 'rule' and 'path'"
             )
-        return cls(entries=entries)
+        return cls(
+            entries={
+                (entry["rule"], entry["path"], entry.get("content", ""))
+                for entry in findings
+            }
+        )
 
     @staticmethod
     def fingerprint(diag: Diagnostic, line_text: str) -> tuple[str, str, str]:

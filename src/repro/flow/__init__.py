@@ -19,22 +19,54 @@ Layering (docs/FLOW.md):
   (escaping exceptions, possibly-``None`` rng parameters,
   reachability);
 * :mod:`repro.flow.rules` -- the rule catalog;
-* :mod:`repro.flow.engine` -- discovery, baseline and pragma wiring,
-  report assembly;
 * :mod:`repro.flow.report` -- the versioned report and ``--graph``
   serialization.
 
-Run it as ``repro flow src/`` or fold it into a sanitize run with
-``repro sanitize --flow src/``.
+The shared driver (:mod:`repro.sanitize.engine`) runs this package as
+the :data:`FLOW` family.  Run it as ``repro flow src/`` or fold it into
+a sanitize run with ``repro sanitize --flow src/``.
 """
 
-from .engine import FlowConfig, analyze_paths, build_program
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterable
+
+from ..diagnostics import Baseline
+from ..sanitize.engine import AnalyzerConfig, Family, SourceTree, run_family
 from .graph import Edge, FunctionInfo, Program
 from .report import FLOW_FORMAT, FlowReport, graph_json
 from .rules import FLOW_RULES, FlowAnalysis
 
+#: The flow family as the shared driver runs it.
+FLOW = Family(
+    rules=FLOW_RULES,
+    report=FlowReport,
+    build=lambda program, config: FlowAnalysis.build(program),
+    stats=lambda analysis: {
+        "functions": len(analysis.program.functions),
+        "edges": len(analysis.program.edges),
+    },
+)
+
+
+def analyze_paths(
+    source: SourceTree | Iterable[str | Path],
+    config: AnalyzerConfig | None = None,
+    baseline: Baseline | None = None,
+) -> FlowReport:
+    """Analyse a file set (or an already-loaded tree) as one program."""
+    return run_family(FLOW, source, config, baseline)
+
+
+def build_program(source: SourceTree | Iterable[str | Path]) -> Program:
+    """Discover, parse and index a tree without running any rules."""
+    tree = source if isinstance(source, SourceTree) else SourceTree(source)
+    return tree.program
+
+
 __all__ = [
-    "FlowConfig",
+    "FLOW",
     "analyze_paths",
     "build_program",
     "Program",

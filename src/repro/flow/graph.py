@@ -40,10 +40,6 @@ from dataclasses import dataclass, field
 
 from ..sanitize.engine import _PRAGMA, FileContext
 
-# The mutating-method vocabulary is shared with the per-file analyzer so
-# the two layers cannot drift on what counts as a container mutation.
-from ..sanitize.rules import _MUTATORS
-
 __all__ = [
     "Handler",
     "Edge",

@@ -35,10 +35,10 @@ plus its fixpoint summaries -- instead of a single file context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
-from ..sanitize.rules import CLI_MODULES
+from ..sanitize.rules import CLI_MODULES, Rule, rule_registrar
 from .graph import Program
 from .summaries import (
     escape_sets,
@@ -48,7 +48,6 @@ from .summaries import (
 )
 
 __all__ = [
-    "FlowRule",
     "FLOW_RULES",
     "flow_rule",
     "FlowAnalysis",
@@ -91,34 +90,11 @@ class FlowAnalysis:
         )
 
 
-@dataclass(frozen=True)
-class FlowRule:
-    """One registered rule: id, default severity, summary, checker."""
-
-    id: str
-    severity: Severity
-    summary: str
-    check: Callable[[FlowAnalysis], Iterable[Diagnostic]]
-
-
 #: The global registry, keyed by rule id, in registration order.
-FLOW_RULES: dict[str, FlowRule] = {}
+FLOW_RULES: dict[str, Rule] = {}
 
-
-def flow_rule(
-    rule_id: str, severity: Severity, summary: str
-) -> Callable[[Callable[[FlowAnalysis], Iterable[Diagnostic]]], Callable]:
-    """Decorator registering a rule function under ``rule_id``."""
-
-    def register(
-        fn: Callable[[FlowAnalysis], Iterable[Diagnostic]],
-    ) -> Callable:
-        FLOW_RULES[rule_id] = FlowRule(
-            id=rule_id, severity=severity, summary=summary, check=fn
-        )
-        return fn
-
-    return register
+#: Decorator registering a rule function under its id.
+flow_rule = rule_registrar(FLOW_RULES)
 
 
 def _chain(path: list[str]) -> str:

@@ -106,7 +106,7 @@ class ShuffleExchangeMachine:
 
     def step_ops(self, ops: Sequence[Op | str]) -> None:
         """One step applying register-model labels ``{+,-,0,1}`` per pair."""
-        resolved = [o if isinstance(o, Op) else Op.from_str(o) for o in ops]
+        resolved = [Op.from_str(o) for o in ops]
         if len(resolved) != self.n // 2:
             raise MachineError(
                 f"need {self.n // 2} pair labels, got {len(resolved)}"

@@ -57,7 +57,7 @@ OpChooser = Callable[[int, int, int], "Op | None"]
 
 def constant_op_chooser(op: Op | str | None) -> OpChooser:
     """An :data:`OpChooser` returning the same op for every pair."""
-    resolved = None if op is None else (op if isinstance(op, Op) else Op.from_str(op))
+    resolved = None if op is None else Op.from_str(op)
 
     def choose(height: int, bit: int, low_wire: int) -> Op | None:
         return resolved

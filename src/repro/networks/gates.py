@@ -46,12 +46,14 @@ class Op(enum.Enum):
         return self in (Op.PLUS, Op.MINUS)
 
     @classmethod
-    def from_str(cls, s: str) -> "Op":
-        """Parse the single-character register-model label."""
-        for op in cls:
-            if op.value == s:
-                return op
-        raise WireError(f"unknown gate op {s!r}; expected one of '+', '-', '0', '1'")
+    def from_str(cls, s: "str | Op") -> "Op":
+        """Parse the single-character register-model label (or pass a member)."""
+        try:
+            return cls(s)
+        except ValueError:
+            raise WireError(
+                f"unknown gate op {s!r}; expected one of '+', '-', '0', '1'"
+            ) from None
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value

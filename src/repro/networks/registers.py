@@ -39,7 +39,7 @@ class RegisterStep:
             object.__setattr__(
                 self,
                 "ops",
-                tuple(o if isinstance(o, Op) else Op.from_str(o) for o in self.ops),
+                tuple(Op.from_str(o) for o in self.ops),
             )
         elif not isinstance(self.ops, tuple):
             object.__setattr__(self, "ops", tuple(self.ops))
@@ -143,9 +143,7 @@ class RegisterProgram:
         steps = [
             RegisterStep(
                 perm=shuffle,
-                ops=tuple(
-                    o if isinstance(o, Op) else Op.from_str(o) for o in ops
-                ),
+                ops=tuple(Op.from_str(o) for o in ops),
             )
             for ops in op_vectors
         ]

@@ -50,16 +50,11 @@ def gate_from_json(item: list[Any]) -> Gate:
     return Gate(int(a), int(b), Op.from_str(op))
 
 
-# backwards-compatible private aliases
-_gate_to_json = gate_to_json
-_gate_from_json = gate_from_json
-
-
 def network_to_json(net: ComparatorNetwork) -> dict[str, Any]:
     """Serialise a :class:`ComparatorNetwork`."""
     stages = []
     for s in net.stages:
-        entry: dict[str, Any] = {"gates": [_gate_to_json(g) for g in s.level]}
+        entry: dict[str, Any] = {"gates": [gate_to_json(g) for g in s.level]}
         if s.perm is not None:
             entry["perm"] = [int(x) for x in s.perm.mapping]
         stages.append(entry)
@@ -72,7 +67,7 @@ def network_from_json(doc: dict[str, Any]) -> ComparatorNetwork:
         raise WireError(f"expected kind 'network', got {doc.get('kind')!r}")
     stages = []
     for entry in doc["stages"]:
-        level = Level(_gate_from_json(g) for g in entry["gates"])
+        level = Level(gate_from_json(g) for g in entry["gates"])
         perm = Permutation(entry["perm"]) if "perm" in entry else None
         stages.append(Stage(level=level, perm=perm))
     return ComparatorNetwork(int(doc["n"]), stages)
@@ -86,7 +81,7 @@ def rdn_to_json(rdn: ReverseDeltaNetwork) -> dict[str, Any]:
         "kind": "rdn",
         "child0": rdn_to_json(rdn.child0),
         "child1": rdn_to_json(rdn.child1),
-        "final": [_gate_to_json(g) for g in rdn.final],
+        "final": [gate_to_json(g) for g in rdn.final],
     }
 
 
@@ -99,7 +94,7 @@ def rdn_from_json(doc: dict[str, Any]) -> ReverseDeltaNetwork:
     return ReverseDeltaNetwork.node(
         rdn_from_json(doc["child0"]),
         rdn_from_json(doc["child1"]),
-        tuple(_gate_from_json(g) for g in doc["final"]),
+        tuple(gate_from_json(g) for g in doc["final"]),
     )
 
 

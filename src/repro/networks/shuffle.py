@@ -115,10 +115,7 @@ def split_rdn_from_shuffle_stages(
         raise TopologyError(
             f"need exactly lg n = {d} op vectors for one block, got {len(op_vectors)}"
         )
-    resolved = [
-        [o if isinstance(o, Op) else Op.from_str(o) for o in row]
-        for row in op_vectors
-    ]
+    resolved = [[Op.from_str(o) for o in row] for row in op_vectors]
     for t, row in enumerate(resolved):
         if len(row) != n // 2:
             raise TopologyError(

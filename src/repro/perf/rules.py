@@ -34,16 +34,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from ..flow.graph import FunctionInfo, Program
 from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
+from ..sanitize.rules import Rule, rule_registrar
 from .costmodel import CostModel, build_cost_model
 from .profilejoin import ProfileJoin
 
 __all__ = [
     "HOT_DEPTH",
-    "PerfRule",
     "PERF_RULES",
     "perf_rule",
     "PerfAnalysis",
@@ -74,34 +74,11 @@ class PerfAnalysis:
         return self.join.weights.get(qualname, 0.0)
 
 
-@dataclass(frozen=True)
-class PerfRule:
-    """One registered rule: id, default severity, summary, checker."""
-
-    id: str
-    severity: Severity
-    summary: str
-    check: Callable[[PerfAnalysis], Iterable[Diagnostic]]
-
-
 #: The global registry, keyed by rule id, in registration order.
-PERF_RULES: dict[str, PerfRule] = {}
+PERF_RULES: dict[str, Rule] = {}
 
-
-def perf_rule(
-    rule_id: str, severity: Severity, summary: str
-) -> Callable[[Callable[[PerfAnalysis], Iterable[Diagnostic]]], Callable]:
-    """Decorator registering a rule function under ``rule_id``."""
-
-    def register(
-        fn: Callable[[PerfAnalysis], Iterable[Diagnostic]],
-    ) -> Callable:
-        PERF_RULES[rule_id] = PerfRule(
-            id=rule_id, severity=severity, summary=summary, check=fn
-        )
-        return fn
-
-    return register
+#: Decorator registering a rule function under its id.
+perf_rule = rule_registrar(PERF_RULES)
 
 
 # ---------------------------------------------------------------------------

@@ -22,22 +22,60 @@ Layering (docs/RACE.md):
   context roots and BFS propagation, the blocking-effect fixpoint;
 * :mod:`repro.race.rules` -- the rule catalog, every finding carrying
   a witness call chain from a context root to the offending site;
-* :mod:`repro.race.engine` -- discovery, baseline and pragma wiring,
-  report assembly;
 * :mod:`repro.race.report` -- the versioned report and ``--graph``
   model serialization.
 
-Run it as ``repro race src/`` or fold it into a sanitize run with
-``repro sanitize --race src/``.
+The shared driver (:mod:`repro.sanitize.engine`) runs this package as
+the :data:`RACE` family.  Run it as ``repro race src/`` or fold it into
+a sanitize run with ``repro sanitize --race src/``.
 """
 
-from .engine import RaceConfig, analyze_paths, build_analysis
+from __future__ import annotations
+
+from functools import partial
+from pathlib import Path
+from typing import Iterable
+
+from ..diagnostics import Baseline
+from ..sanitize.engine import (
+    AnalyzerConfig,
+    Family,
+    SourceTree,
+    check_family,
+    run_family,
+)
 from .model import RaceModel, blocking_effects, propagate_contexts
 from .report import RACE_FORMAT, RaceReport, model_json
 from .rules import RACE_RULES, RaceAnalysis
 
+#: The race family as the shared driver runs it.
+RACE = Family(
+    rules=RACE_RULES,
+    report=RaceReport,
+    build=lambda program, config: RaceAnalysis.build(program),
+    stats=lambda analysis: {
+        "functions": len(analysis.program.functions),
+        "edges": len(analysis.program.edges),
+        "contexts": analysis.context_counts(),
+    },
+)
+
+
+def analyze_paths(
+    source: SourceTree | Iterable[str | Path],
+    config: AnalyzerConfig | None = None,
+    baseline: Baseline | None = None,
+) -> RaceReport:
+    """Analyse a file set (or an already-loaded tree) as one program."""
+    return run_family(RACE, source, config, baseline)
+
+
+#: The analysis, the raw findings (parse errors first), the file count.
+build_analysis = partial(check_family, RACE)
+
+
 __all__ = [
-    "RaceConfig",
+    "RACE",
     "analyze_paths",
     "build_analysis",
     "RaceModel",

@@ -51,9 +51,10 @@ finding is checkable by reading the named functions in order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
+from ..sanitize.rules import Rule, rule_registrar
 from .model import (
     BlockingEffect,
     RaceModel,
@@ -67,7 +68,6 @@ from ..flow.graph import Program
 from ..flow.summaries import reachable, witness_path
 
 __all__ = [
-    "RaceRule",
     "RACE_RULES",
     "race_rule",
     "RaceAnalysis",
@@ -110,34 +110,11 @@ class RaceAnalysis:
         return counts
 
 
-@dataclass(frozen=True)
-class RaceRule:
-    """One registered rule: id, default severity, summary, checker."""
-
-    id: str
-    severity: Severity
-    summary: str
-    check: Callable[[RaceAnalysis], Iterable[Diagnostic]]
-
-
 #: The global registry, keyed by rule id, in registration order.
-RACE_RULES: dict[str, RaceRule] = {}
+RACE_RULES: dict[str, Rule] = {}
 
-
-def race_rule(
-    rule_id: str, severity: Severity, summary: str
-) -> Callable[[Callable[[RaceAnalysis], Iterable[Diagnostic]]], Callable]:
-    """Decorator registering a rule function under ``rule_id``."""
-
-    def register(
-        fn: Callable[[RaceAnalysis], Iterable[Diagnostic]],
-    ) -> Callable:
-        RACE_RULES[rule_id] = RaceRule(
-            id=rule_id, severity=severity, summary=summary, check=fn
-        )
-        return fn
-
-    return register
+#: Decorator registering a rule function under its id.
+race_rule = rule_registrar(RACE_RULES)
 
 
 def _chain(path: list[str]) -> str:

@@ -29,8 +29,10 @@ checked-in (empty, and ratcheted-to-stay-empty) baseline.  CLI:
 from .baseline import BASELINE_VERSION, Baseline
 from .diagnostics import Diagnostic, FixIt, Severity, SourceLocation
 from .engine import (
+    AnalyzerConfig,
     FileContext,
     SanitizeConfig,
+    SourceTree,
     anchored_path,
     discover_files,
     sanitize_file,
@@ -38,7 +40,7 @@ from .engine import (
     sanitize_source,
 )
 from .report import SanitizeReport
-from .rules import RULES, SanitizeRule, sanitize_rule
+from .rules import RULES, Rule, sanitize_rule
 from .schema import (
     REGISTRY_PATH,
     REGISTRY_VERSION,
@@ -57,8 +59,10 @@ __all__ = [
     "FixIt",
     "Severity",
     "SourceLocation",
+    "AnalyzerConfig",
     "FileContext",
     "SanitizeConfig",
+    "SourceTree",
     "anchored_path",
     "discover_files",
     "sanitize_file",
@@ -66,7 +70,7 @@ __all__ = [
     "sanitize_source",
     "SanitizeReport",
     "RULES",
-    "SanitizeRule",
+    "Rule",
     "sanitize_rule",
     "REGISTRY_PATH",
     "REGISTRY_VERSION",

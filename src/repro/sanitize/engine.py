@@ -1,26 +1,32 @@
-"""The sanitize engine: file discovery, shared per-file passes, rules.
+"""The tree-analyzer engine: one loader and one driver for five families.
 
-Mirrors :mod:`repro.lint.engine` with the analysis target swapped: the
-input is Python source from the repro tree itself, parsed with the
-stdlib :mod:`ast` (zero new dependencies).  Entry points:
+Every source-tree analyzer -- the per-file ``sanitize`` rules and the
+whole-program ``flow``, ``perf``, ``race`` and ``shape`` families --
+runs through this module, over Python source parsed with the stdlib
+:mod:`ast`:
 
-* :func:`sanitize_source` -- analyse one in-memory source string under a
-  virtual path (the fixture-corpus and unit-test entry point);
-* :func:`sanitize_file` -- analyse one file on disk;
-* :func:`sanitize_paths` -- walk files/directories in deterministic
-  (sorted) order, apply the checked-in baseline, and aggregate a
-  :class:`~repro.sanitize.report.SanitizeReport`.
+* :class:`SourceTree`, the loader: sorted discovery, each file read and
+  parsed once into a :class:`FileContext`, and the
+  :class:`~repro.flow.graph.Program` built at most once over them;
+  ``repro sanitize --flow --perf --race --shape`` hands one tree to
+  every family it runs;
+* :class:`Family` and :func:`run_family`, the driver: the ``select``
+  filter, the rules and the waiver pass
+  (:func:`~repro.diagnostics.apply_waivers`), the same for every
+  family;
+* :func:`sanitize_source`, one in-memory source string under a virtual
+  path (the fixture-corpus and unit-test entry point).
 
-Shared passes (import-alias resolution, module-level name collection,
-suppression pragmas) are computed lazily and at most once per file via
-:class:`FileContext`, so every rule reads cached results.  Unparseable
-files become ``parse/syntax-error`` diagnostics instead of stack
-traces, mirroring the lenient document path of the network linter.
+:class:`FileContext` computes the shared per-file passes (import
+aliases, module-level names, suppression pragmas) lazily and once.
+Unparseable files become ``parse/syntax-error`` diagnostics instead of
+stack traces and are left out of the program.
 
 Determinism contract: the report depends only on the *set* of files and
 their contents -- never on visit order, dict order, or the host -- so
 two runs over the same tree are bit-identical (property-tested in
-``tests/sanitize/test_determinism.py``).
+``tests/sanitize/test_determinism.py`` and each family's
+``test_order_independence.py``).
 """
 
 from __future__ import annotations
@@ -30,16 +36,30 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
+from ..diagnostics import apply_waivers
 from ..errors import SanitizeError
 from .baseline import Baseline
 from .diagnostics import Diagnostic, Severity, SourceLocation
+from .report import SanitizeReport
+from .rules import RULES
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from ..diagnostics import DiagnosticReport
+    from ..flow.graph import Program
 
 __all__ = [
+    "AnalyzerConfig",
     "SanitizeConfig",
     "FileContext",
+    "SourceTree",
+    "Family",
     "anchored_path",
+    "discover_files",
+    "SANITIZE",
+    "check_family",
+    "run_family",
     "sanitize_source",
     "sanitize_file",
     "sanitize_paths",
@@ -52,23 +72,32 @@ _PRAGMA = re.compile(r"#\s*sanitize:\s*ok(?:\[([^\]]*)\])?")
 
 
 @dataclass(frozen=True)
-class SanitizeConfig:
-    """Tunables for one sanitize run.
+class AnalyzerConfig:
+    """The tunable every tree analyzer shares.
 
-    ``select`` optionally restricts to rules whose id starts with one of
-    the given prefixes.  ``schema_registry`` overrides the packaged
-    schema fingerprint registry (tests inject fixture registries here);
-    ``None`` loads ``schema_registry.json`` from the package.
+    ``select`` optionally restricts a run to rules whose id starts with
+    one of the given prefixes (``--select flow/dead`` etc.).
     """
 
     select: tuple[str, ...] | None = None
-    schema_registry: dict[str, Any] | None = None
 
     def rule_enabled(self, rule_id: str) -> bool:
         """True iff ``rule_id`` passes the ``select`` filter."""
         if not self.select:
             return True
         return any(rule_id.startswith(prefix) for prefix in self.select)
+
+
+@dataclass(frozen=True)
+class SanitizeConfig(AnalyzerConfig):
+    """Tunables for one sanitize run.
+
+    ``schema_registry`` overrides the packaged schema fingerprint
+    registry (tests inject fixture registries here); ``None`` loads
+    ``schema_registry.json`` from the package.
+    """
+
+    schema_registry: dict[str, Any] | None = None
 
 
 def anchored_path(path: str | Path) -> str:
@@ -95,7 +124,6 @@ class FileContext:
         source: str,
         path: str,
         tree: ast.Module,
-        config: SanitizeConfig,
         registry: dict[str, Any] | None = None,
     ):
         self.source = source
@@ -104,7 +132,6 @@ class FileContext:
         #: The ``repro/...``-anchored path (what rule scopes match on).
         self.relpath = anchored_path(path)
         self.tree = tree
-        self.config = config
         #: Parsed schema fingerprint registry (``schema/*`` rules).
         self.registry = registry if registry is not None else {}
 
@@ -269,13 +296,23 @@ def _assign_targets(stmt: ast.stmt) -> Iterator[str]:
             yield stmt.target.id
 
 
-def _load_registry(config: SanitizeConfig) -> dict[str, Any]:
+def _load_registry(override: dict[str, Any] | None) -> dict[str, Any]:
     """The schema fingerprint registry (packaged unless overridden)."""
-    if config.schema_registry is not None:
-        return config.schema_registry
+    if override is not None:
+        return override
     from .schema import load_registry
 
     return load_registry()
+
+
+def _syntax_error(path: str, exc: SyntaxError) -> Diagnostic:
+    """The ``parse/syntax-error`` finding for a file that does not parse."""
+    return Diagnostic(
+        rule="parse/syntax-error",
+        severity=Severity.ERROR,
+        message=f"cannot parse: {exc.msg}",
+        location=SourceLocation(path=path, line=exc.lineno, col=exc.offset),
+    )
 
 
 def sanitize_source(
@@ -295,23 +332,12 @@ def sanitize_source(
     """
     cfg = config or SanitizeConfig()
     if registry is None:
-        registry = _load_registry(cfg)
+        registry = _load_registry(cfg.schema_registry)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [
-            Diagnostic(
-                rule="parse/syntax-error",
-                severity=Severity.ERROR,
-                message=f"cannot parse: {exc.msg}",
-                location=SourceLocation(
-                    path=path, line=exc.lineno, col=exc.offset
-                ),
-            )
-        ]
-    from .rules import RULES
-
-    ctx = FileContext(source, path, tree, cfg, registry=registry)
+        return [_syntax_error(path, exc)]
+    ctx = FileContext(source, path, tree, registry=registry)
     diagnostics: list[Diagnostic] = []
     for rule in RULES.values():
         if not cfg.rule_enabled(rule.id):
@@ -358,51 +384,164 @@ def discover_files(paths: Iterable[str | Path]) -> list[Path]:
     return sorted(files, key=lambda f: f.as_posix())
 
 
-def sanitize_paths(
-    paths: Iterable[str | Path],
-    config: SanitizeConfig | None = None,
-    baseline: Baseline | None = None,
-):
-    """Analyse a set of files/directories and aggregate the report.
+class _Unparsed:
+    """A file that does not parse: no pragma applies, its lines still do."""
 
-    Baseline-matched findings are suppressed from the report (and hence
-    from the exit code) but counted in ``report.suppressed`` so a
-    grandfathered tree is visibly grandfathered, not silently clean.
+    def __init__(self, source: str):
+        self.lines = source.splitlines()
+
+    def suppressed(self, diag: Diagnostic) -> bool:
+        return False
+
+    line_text = FileContext.line_text
+
+
+class SourceTree:
+    """A file set read and parsed once, shared by every analyzer family.
+
+    Discovery is eager, so a missing path fails up front; files are read
+    and parsed on first use of :attr:`contexts`.  ``registry`` overrides
+    the packaged schema fingerprint registry the ``schema/*`` rules read.
     """
-    from .report import SanitizeReport
 
-    cfg = config or SanitizeConfig()
-    registry = _load_registry(cfg)
-    files = discover_files(paths)
-    diagnostics: list[Diagnostic] = []
-    suppressed = 0
-    for f in files:
-        try:
-            source = f.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SanitizeError(f"cannot read {f}: {exc}") from exc
-        lines = source.splitlines()
-        for diag in sanitize_source(
-            source, f.as_posix(), cfg, registry=registry
-        ):
-            if baseline is not None and baseline.matches(
-                diag, _line_text(lines, diag)
-            ):
-                suppressed += 1
+    def __init__(
+        self,
+        paths: Iterable[str | Path],
+        registry: dict[str, Any] | None = None,
+    ):
+        paths = list(paths)
+        #: The paths as requested, sorted (every report's ``targets``).
+        self.targets = sorted(str(p) for p in paths)
+        self.files = discover_files(paths)
+        self._registry = registry
+
+    @cached_property
+    def _loaded(
+        self,
+    ) -> tuple[list[FileContext], list[Diagnostic], dict[str, Any]]:
+        registry = _load_registry(self._registry)
+        contexts: list[FileContext] = []
+        errors: list[Diagnostic] = []
+        waivers: dict[str, Any] = {}
+        for f in self.files:
+            path = f.as_posix()
+            try:
+                source = f.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise SanitizeError(f"cannot read {f}: {exc}") from exc
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as exc:
+                errors.append(_syntax_error(path, exc))
+                waivers[path] = _Unparsed(source)
                 continue
-            diagnostics.append(diag)
-    diagnostics.sort(key=lambda d: d.sort_key)
-    return SanitizeReport(
-        targets=sorted(str(p) for p in paths),
-        files=len(files),
-        diagnostics=diagnostics,
+            ctx = FileContext(source, path, tree, registry=registry)
+            contexts.append(ctx)
+            waivers[path] = ctx
+        return contexts, errors, waivers
+
+    @property
+    def contexts(self) -> list[FileContext]:
+        """One context per file that parsed, in path order."""
+        return self._loaded[0]
+
+    @property
+    def parse_errors(self) -> list[Diagnostic]:
+        """One ``parse/syntax-error`` per file that did not parse."""
+        return self._loaded[1]
+
+    @property
+    def waivers(self) -> dict[str, Any]:
+        """Path -> the pragma/line-text surface :func:`apply_waivers` reads."""
+        return self._loaded[2]
+
+    @cached_property
+    def program(self) -> "Program":
+        """The whole-program index over :attr:`contexts`, built once."""
+        from ..flow.graph import Program
+
+        return Program.build(self.contexts)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One analyzer family, as the driver runs it.
+
+    ``rules`` is the family's registry.  ``build`` turns the shared
+    program into the analysis every rule checks; without it (sanitize)
+    each rule checks every :class:`FileContext`.  ``report`` is filled
+    with the run's counts, findings and whatever ``stats`` reads off the
+    analysis.
+    """
+
+    rules: Mapping[str, Any]
+    report: Callable[..., "DiagnosticReport"]
+    build: Callable[["Program", AnalyzerConfig], Any] | None = None
+    stats: Callable[[Any], dict[str, Any]] | None = None
+
+
+def check_family(
+    family: Family,
+    source: SourceTree | Iterable[str | Path],
+    config: AnalyzerConfig | None = None,
+) -> tuple[Any, list[Diagnostic], int]:
+    """One family's analysis, its raw findings, and the file count.
+
+    The analysis is the tree itself for a per-file family; the findings
+    lead with the tree's parse errors, and no waiver applies yet.
+    """
+    tree = source if isinstance(source, SourceTree) else SourceTree(source)
+    cfg = config or AnalyzerConfig()
+    analysis: Any = tree
+    units: list[Any] = list(tree.contexts)
+    if family.build is not None:
+        analysis = family.build(tree.program, cfg)
+        units = [analysis]
+    diagnostics = list(tree.parse_errors)
+    for rule in family.rules.values():
+        if cfg.rule_enabled(rule.id):
+            for unit in units:
+                diagnostics.extend(rule.check(unit))
+    return analysis, diagnostics, len(tree.files)
+
+
+def run_family(
+    family: Family,
+    source: SourceTree | Iterable[str | Path],
+    config: AnalyzerConfig | None = None,
+    baseline: Baseline | None = None,
+) -> Any:
+    """One family's report: its selected rules, then the waivers.
+
+    Pragma-suppressed findings are dropped silently (the pragma is the
+    documented waiver); baseline-matched findings are dropped from the
+    report and exit code but counted in ``report.suppressed`` so a
+    grandfathered tree never reads as clean.
+    """
+    tree = source if isinstance(source, SourceTree) else SourceTree(source)
+    analysis, diagnostics, files = check_family(family, tree, config)
+    kept, suppressed = apply_waivers(diagnostics, tree.waivers, baseline)
+    stats = family.stats(analysis) if family.stats is not None else {}
+    return family.report(
+        targets=tree.targets,
+        files=files,
+        diagnostics=kept,
         suppressed=suppressed,
+        **stats,
     )
 
 
-def _line_text(lines: list[str], diag: Diagnostic) -> str:
-    """The stripped source line a diagnostic anchors to (baseline key)."""
-    line = getattr(diag.location, "line", None)
-    if line is None or not (1 <= line <= len(lines)):
-        return ""
-    return lines[line - 1].strip()
+#: The per-file family: every sanitize rule over each file's context.
+SANITIZE = Family(rules=RULES, report=SanitizeReport)
+
+
+def sanitize_paths(
+    source: SourceTree | Iterable[str | Path],
+    config: SanitizeConfig | None = None,
+    baseline: Baseline | None = None,
+) -> SanitizeReport:
+    """The per-file family's report (paths load with the config's registry)."""
+    cfg = config or SanitizeConfig()
+    if not isinstance(source, SourceTree):
+        source = SourceTree(source, cfg.schema_registry)
+    return run_family(SANITIZE, source, cfg, baseline)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
 
 from .diagnostics import Diagnostic, Severity, SourceLocation
 from .schema import module_schema
@@ -51,8 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .engine import FileContext
 
 __all__ = [
-    "SanitizeRule",
+    "Rule",
     "RULES",
+    "rule_registrar",
     "sanitize_rule",
     "DETERMINISM_SCOPE",
     "FORKSAFETY_SCOPE",
@@ -120,34 +121,48 @@ SCHEMA_MODULES = (
 # registry
 
 
+RuleCheck = TypeVar("RuleCheck", bound=Callable[..., Iterable[Diagnostic]])
+
+
 @dataclass(frozen=True)
-class SanitizeRule:
-    """One registered rule: id, default severity, summary, checker."""
+class Rule:
+    """One registered rule of any tree-analyzer family.
+
+    ``check`` takes what the family's driver hands it: a
+    :class:`~repro.sanitize.engine.FileContext` here, the family's
+    whole-program analysis in ``flow``/``perf``/``race``/``shape``.
+    """
 
     id: str
     severity: Severity
     summary: str
-    check: Callable[["FileContext"], Iterable[Diagnostic]]
+    check: Callable[[Any], Iterable[Diagnostic]]
+
+
+def rule_registrar(
+    registry: dict[str, Rule],
+) -> Callable[[str, Severity, str], Callable[[RuleCheck], RuleCheck]]:
+    """A ``@family_rule(id, severity, summary)`` decorator for ``registry``."""
+
+    def family_rule(
+        rule_id: str, severity: Severity, summary: str
+    ) -> Callable[[RuleCheck], RuleCheck]:
+        """Decorator registering a rule function under ``rule_id``."""
+
+        def register(fn: RuleCheck) -> RuleCheck:
+            registry[rule_id] = Rule(rule_id, severity, summary, fn)
+            return fn
+
+        return register
+
+    return family_rule
 
 
 #: The global registry, keyed by rule id, in registration order.
-RULES: dict[str, SanitizeRule] = {}
+RULES: dict[str, Rule] = {}
 
-
-def sanitize_rule(
-    rule_id: str, severity: Severity, summary: str
-) -> Callable[[Callable[["FileContext"], Iterable[Diagnostic]]], Callable]:
-    """Decorator registering a rule function under ``rule_id``."""
-
-    def register(
-        fn: Callable[["FileContext"], Iterable[Diagnostic]],
-    ) -> Callable:
-        RULES[rule_id] = SanitizeRule(
-            id=rule_id, severity=severity, summary=summary, check=fn
-        )
-        return fn
-
-    return register
+#: Decorator registering a per-file rule function under its id.
+sanitize_rule = rule_registrar(RULES)
 
 
 def _loc(ctx: "FileContext", node: ast.AST) -> SourceLocation:

@@ -54,16 +54,16 @@ named line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from ..flow.graph import Program
 from ..perf.costmodel import CostModel, build_cost_model
 from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
+from ..sanitize.rules import Rule, rule_registrar
 from ..sanitize.engine import anchored_path
 from .model import DEFAULT_SENSITIVE, ShapeModel, dtype_kind
 
 __all__ = [
-    "ShapeRule",
     "SHAPE_RULES",
     "shape_rule",
     "ShapeAnalysis",
@@ -113,34 +113,11 @@ class ShapeAnalysis:
         )
 
 
-@dataclass(frozen=True)
-class ShapeRule:
-    """One registered rule: id, default severity, summary, checker."""
-
-    id: str
-    severity: Severity
-    summary: str
-    check: Callable[[ShapeAnalysis], Iterable[Diagnostic]]
-
-
 #: The global registry, keyed by rule id, in registration order.
-SHAPE_RULES: dict[str, ShapeRule] = {}
+SHAPE_RULES: dict[str, Rule] = {}
 
-
-def shape_rule(
-    rule_id: str, severity: Severity, summary: str
-) -> Callable[[Callable[[ShapeAnalysis], Iterable[Diagnostic]]], Callable]:
-    """Decorator registering a rule function under ``rule_id``."""
-
-    def register(
-        fn: Callable[[ShapeAnalysis], Iterable[Diagnostic]],
-    ) -> Callable:
-        SHAPE_RULES[rule_id] = ShapeRule(
-            id=rule_id, severity=severity, summary=summary, check=fn
-        )
-        return fn
-
-    return register
+#: Decorator registering a rule function under its id.
+shape_rule = rule_registrar(SHAPE_RULES)
 
 
 def _in_scope(path: str) -> bool:

@@ -10,6 +10,7 @@ from repro.networks.builders import (
     random_iterated_rdn,
     random_reverse_delta,
 )
+from repro.experiments.workloads import seeded_family
 from repro.networks.delta import IteratedReverseDeltaNetwork
 from repro.sorters.oddeven_merge import oddeven_merge_sorting_network
 
@@ -24,6 +25,33 @@ class TestRecognition:
         for _ in range(10):
             x = rng.permutation(n)
             assert (recognised.to_network().evaluate(x) == flat.evaluate(x)).all()
+
+    def test_seeded_circuit_recognition_keeps_every_gate(self):
+        """Recognition regroups and re-orients gates; it never moves one.
+
+        Each level of the recognised network holds the circuit's
+        comparators at that level (up to endpoint orientation); the
+        padding block after the last level is empty.
+        """
+        circuit = seeded_family("random_iterated", 256, 2, 7).to_network()
+        circuit = circuit.flattened()
+
+        def comparators(net):
+            levels = [
+                frozenset(
+                    min((g.a, g.b, g.op.value), (r.a, r.b, r.op.value))
+                    for g in s.level.gates
+                    for r in (g.reversed(),)
+                )
+                for s in net.stages
+            ]
+            while levels and not levels[-1]:
+                levels.pop()
+            return levels
+
+        recognised = recognize_iterated_rdn(circuit).to_network()
+        assert comparators(recognised) == comparators(circuit)
+        assert len(comparators(circuit)) == 16
 
     def test_bitonic_iterated_form_recognised(self, rng):
         n = 16

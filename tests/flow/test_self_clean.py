@@ -6,20 +6,16 @@ the CLI, silent broad excepts in the farm), not by baselining them --
 so this gate runs with no baseline at all and nothing suppressed.
 """
 
-from repro.flow import analyze_paths
-
-from tests.flow.conftest import SRC
-
 
 class TestSelfClean:
-    def test_source_tree_has_no_findings(self):
-        report = analyze_paths([SRC])
+    def test_source_tree_has_no_findings(self, src_model):
+        report = src_model.flow
         assert report.diagnostics == [], report.format_text()
         assert report.exit_code == 0
 
-    def test_analysis_actually_covered_the_tree(self):
+    def test_analysis_actually_covered_the_tree(self, src_model):
         """Guard against the gate passing vacuously."""
-        report = analyze_paths([SRC])
+        report = src_model.flow
         assert report.files >= 90
         assert report.functions >= 700
         assert report.edges >= 1500

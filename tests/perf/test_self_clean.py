@@ -9,35 +9,26 @@ rename loops and ``SymbolicState.apply_permutation`` -- is already
 fixed, which the worklist floor below reflects.
 """
 
-from pathlib import Path
-
-from repro.perf import analyze_paths, worklist_paths
-from repro.sanitize import Baseline
-
-from tests.perf.conftest import SRC
-
-BASELINE = Path(__file__).resolve().parents[2] / "perf-baseline.json"
-
 
 class TestSelfClean:
-    def test_source_tree_clean_under_shipped_ratchet(self):
-        report = analyze_paths([SRC], baseline=Baseline.load(BASELINE))
+    def test_source_tree_clean_under_shipped_ratchet(self, src_model):
+        report = src_model.perf
         assert report.diagnostics == [], report.format_text()
         assert report.exit_code == 0
         # grandfathered, not hidden: the report says what it waived
         assert report.suppressed > 0
 
-    def test_analysis_actually_covered_the_tree(self):
+    def test_analysis_actually_covered_the_tree(self, src_model):
         """Guard against the gate passing vacuously."""
-        report = analyze_paths([SRC], baseline=Baseline.load(BASELINE))
+        report = src_model.perf
         assert report.files >= 90
         assert report.functions >= 700
         assert report.hot >= 200
 
 
 class TestWorklistInventory:
-    def test_worklist_surfaces_core_candidates(self):
-        worklist = worklist_paths([SRC])
+    def test_worklist_surfaces_core_candidates(self, src_model):
+        worklist = src_model.worklist
         targeted = [
             e
             for e in worklist.entries
@@ -47,8 +38,8 @@ class TestWorklistInventory:
         # vectorization candidates in the hot subsystems
         assert len(targeted) >= 10
 
-    def test_vectorized_functions_left_the_worklist(self):
-        worklist = worklist_paths([SRC])
+    def test_vectorized_functions_left_the_worklist(self, src_model):
+        worklist = src_model.worklist
         remaining = {e.function for e in worklist.entries}
         # the former top-of-worklist scalar loops, now NumPy expressions
         assert "repro.core.pattern.Pattern.rho" not in remaining
@@ -57,9 +48,9 @@ class TestWorklistInventory:
             not in remaining
         )
 
-    def test_worklist_lists_baselined_findings(self):
+    def test_worklist_lists_baselined_findings(self, src_model):
         # the ratchet hides findings from the gate, never from the
         # inventory
-        report = analyze_paths([SRC], baseline=Baseline.load(BASELINE))
-        worklist = worklist_paths([SRC])
+        report = src_model.perf
+        worklist = src_model.worklist
         assert len(worklist.entries) >= report.suppressed

@@ -3,7 +3,8 @@
 import json
 
 from repro.diagnostics import Baseline
-from repro.race import RACE_FORMAT, RaceConfig, analyze_paths
+from repro.race import RACE_FORMAT, analyze_paths
+from repro.sanitize import AnalyzerConfig
 
 from tests.race.conftest import DIRTY
 
@@ -46,7 +47,7 @@ class TestPragmas:
 
 class TestSelect:
     def test_select_restricts_to_matching_rules(self):
-        config = RaceConfig(select=("race/fork",))
+        config = AnalyzerConfig(select=("race/fork",))
         report = analyze_paths([DIRTY], config)
         assert sorted({d.rule for d in report.diagnostics}) == [
             "race/fork-after-thread",
@@ -54,7 +55,7 @@ class TestSelect:
         ]
 
     def test_empty_select_means_everything(self):
-        assert RaceConfig().rule_enabled("race/anything")
+        assert AnalyzerConfig().rule_enabled("race/anything")
 
 
 class TestBaseline:
